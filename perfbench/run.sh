@@ -1,0 +1,11 @@
+#!/usr/bin/env bash
+# Builds the benchmark from source and runs one workload:
+#   bash perfbench/run.sh --workload <serve_mix|offline_size|noc_yield> \
+#       --seed <n> --seconds <s> --trace <0|1>
+# Run from the repository root. Build output goes to $CARGO_TARGET_DIR
+# (default `.bench_build`); the result is the last line of stdout.
+set -euo pipefail
+here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"
+cargo build --release --offline --quiet --manifest-path "$here/Cargo.toml" >&2
+exec "$CARGO_TARGET_DIR/release/pi-perfbench" "$@"
