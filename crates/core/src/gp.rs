@@ -705,20 +705,10 @@ impl LineEvaluator<'_> {
         Some(candidates)
     }
 
-    /// Jointly sizes the link by geometric programming, then **verifies**
-    /// each proposed plan with the configured `pi-yield` estimator: a
-    /// plan is accepted only when its CI lower bound
-    /// (`yield_fraction − half_width`) clears `target_yield`. When the GP
-    /// is infeasible or no proposal verifies, falls back to the greedy
-    /// ladder of [`LineEvaluator::size_for_yield_with`] — so the answer
-    /// is always statistically certified, and never *worse* than the
-    /// ladder's.
-    ///
-    /// `steps` in the result counts verification probes spent before
-    /// acceptance (0 = first GP proposal verified), or the ladder's own
-    /// step count after a fallback.
-    ///
-    /// Deterministic and bit-identical at any `PI_THREADS`.
+    /// GP sizing of one link: a batch of one through
+    /// [`LineEvaluator::size_for_yield_gp_batch`], which documents the
+    /// propose-verify-fallback procedure. The solo call keeps its own
+    /// `core.size_for_yield_gp` span around the batch span.
     ///
     /// # Panics
     ///
@@ -734,39 +724,39 @@ impl LineEvaluator<'_> {
         target_yield: f64,
         config: &EstimatorConfig,
     ) -> Option<YieldSizing> {
-        assert!(
-            target_yield > 0.0 && target_yield <= 1.0,
-            "target yield must be in (0, 1]"
-        );
         let _obs_span = pi_obs::span("core.size_for_yield_gp");
-        if let Some(candidates) = self.gp_propose(spec, plan, variation, deadline, target_yield) {
-            for (steps, candidate) in candidates.iter().enumerate() {
-                let est = self.timing_yield_estimate(spec, candidate, variation, deadline, config);
-                pi_obs::counter_add("gp.verify_probe", 1);
-                let lower = est.yield_fraction - est.half_width;
-                if lower >= target_yield {
-                    pi_obs::counter_add("gp.accepted", 1);
-                    return Some(YieldSizing {
-                        plan: *candidate,
-                        achieved_yield: est.yield_fraction,
-                        steps,
-                    });
-                }
-                pi_obs::counter_add("gp.candidate_fail", 1);
-            }
-        }
-        pi_obs::counter_add("gp.fallback", 1);
-        self.size_for_yield_with(spec, plan, variation, deadline, target_yield, config)
+        self.size_for_yield_gp_batch(&[SizeQuery {
+            spec: *spec,
+            plan: *plan,
+            variation: *variation,
+            deadline,
+            target_yield,
+            config: *config,
+        }])
+        .pop()
+        .flatten()
     }
 
-    /// GP sizing of many queries in lock step — the `gp: true` batch
-    /// entry point of the serve path. Phase A solves every query's GP
-    /// (serial, deterministic) and verifies the proposals in batched
-    /// estimator sweeps; queries whose proposals all fail (or whose GP
-    /// is infeasible) fall back together through
-    /// [`LineEvaluator::size_for_yield_batch`]. Each answer is
-    /// **bit-identical to its solo [`LineEvaluator::size_for_yield_gp`]
-    /// run** at any `PI_THREADS`; results are in input order.
+    /// Jointly sizes each link by geometric programming, then **verifies**
+    /// each proposed plan with the query's `pi-yield` estimator: a plan is
+    /// accepted only when its CI lower bound (`yield_fraction −
+    /// half_width`) clears the target yield. When the GP is infeasible or
+    /// no proposal verifies, falls back to the greedy ladder of
+    /// [`LineEvaluator::size_for_yield_batch`] — so the answer is always
+    /// statistically certified, and never *worse* than the ladder's.
+    ///
+    /// `steps` in a result counts verification probes spent before
+    /// acceptance (0 = first GP proposal verified), or the ladder's own
+    /// step count after a fallback.
+    ///
+    /// Queries run in lock step — the `gp: true` batch entry point of the
+    /// serve path, and the engine behind
+    /// [`LineEvaluator::size_for_yield_gp`]. Phase A solves every query's
+    /// GP (serial, deterministic) and verifies the proposals in batched
+    /// estimator sweeps; queries whose proposals all fail (or whose GP is
+    /// infeasible) fall back together through the ladder batch. Each
+    /// answer is the same whichever batch it runs in, bit-identical at any
+    /// `PI_THREADS`; results are in input order.
     ///
     /// # Panics
     ///

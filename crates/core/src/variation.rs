@@ -435,66 +435,11 @@ pub struct YieldSizing {
 }
 
 impl LineEvaluator<'_> {
-    /// Yield-driven sizing: starting from `plan`, greedily upsizes the
-    /// repeaters through the library drive strengths (and then adds
-    /// repeaters) until the Monte-Carlo timing yield at `deadline` reaches
-    /// `target_yield`, or the search space is exhausted.
-    ///
-    /// This is the classic "sizing for yield improvement under process
-    /// variation" loop: nominal-delay slack is bought exactly where the
-    /// statistical distribution needs it, instead of blanket
-    /// guard-banding.
-    ///
-    /// Returns `None` if no plan in range reaches the target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_yield` is outside `(0, 1]` or `samples` is zero.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // the sizing problem has this many knobs
-    pub fn size_for_yield(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        variation: &VariationModel,
-        deadline: Time,
-        target_yield: f64,
-        samples: usize,
-        seed: u64,
-    ) -> Option<YieldSizing> {
-        assert!(samples > 0, "need at least one sample");
-        // The fixed-count loop has no interval attached; its point
-        // estimate doubles as the acceptance bound (legacy behaviour,
-        // pinned bit-for-bit by tests).
-        self.size_loop(spec, plan, target_yield, |ev, candidate| {
-            let y = ev.timing_yield(spec, candidate, variation, deadline, samples, seed);
-            (y, y)
-        })
-    }
-
-    /// Yield-driven sizing through a configurable `pi-yield` estimator:
-    /// the same greedy upsizing as [`LineEvaluator::size_for_yield`], but
-    /// each candidate's yield comes from the chosen estimator (adaptive
-    /// early stopping included), so a sizing sweep costs a fraction of
-    /// the fixed-count Monte-Carlo evaluations.
-    ///
-    /// A candidate is accepted only when the **lower end of its
-    /// confidence interval** (`yield_fraction − half_width`) clears
-    /// `target_yield`, not merely the point estimate — a plan whose
-    /// estimate scrapes the target from below the interval's resolution
-    /// forces one more upsizing step instead of shipping on statistical
-    /// luck. `achieved_yield` still reports the point estimate.
-    ///
-    /// When the configuration opts into the control variate
-    /// ([`EstimatorConfig::control_variate`]) the caller has declared the
-    /// analytic surrogate trustworthy, so every candidate is first
-    /// screened through the far cheaper surrogate-IS estimator: a
-    /// candidate whose *screen* lower bound already clears the target is
-    /// accepted without running the configured estimator at all. The
-    /// screen only ever accepts — and only while the surrogate stayed
-    /// trusted (no disagreement fallback) — so a candidate that fails the
-    /// screen still gets the configured estimator's verdict and the
-    /// search can never stop *later* than it would without screening.
+    /// Yield-driven sizing of one line: a batch of one through
+    /// [`LineEvaluator::size_for_yield_batch`], which documents the greedy
+    /// upsizing ladder, the confidence-bound acceptance rule and the
+    /// surrogate screen. The solo call keeps its own
+    /// `core.size_for_yield` span around the batch span.
     ///
     /// Returns `None` if no plan in range reaches the target.
     ///
@@ -512,30 +457,24 @@ impl LineEvaluator<'_> {
         target_yield: f64,
         config: &EstimatorConfig,
     ) -> Option<YieldSizing> {
-        let screen = config.surrogate_screen();
-        self.size_loop(spec, plan, target_yield, |ev, candidate| {
-            if let Some(cfg) = &screen {
-                let est = ev.timing_yield_estimate(spec, candidate, variation, deadline, cfg);
-                let lower = est.yield_fraction - est.half_width;
-                // A fallback run reports `method` as the plain importance
-                // sampler — that screen verdict is not trusted to accept.
-                if est.method == Method::SurrogateIs && lower >= target_yield {
-                    pi_obs::counter_add("sizing.surrogate_accept", 1);
-                    return (est.yield_fraction, lower);
-                }
-                pi_obs::counter_add("sizing.surrogate_screen_miss", 1);
-            }
-            let est = ev.timing_yield_estimate(spec, candidate, variation, deadline, config);
-            (est.yield_fraction, est.yield_fraction - est.half_width)
-        })
+        let _obs_span = pi_obs::span("core.size_for_yield");
+        self.size_for_yield_batch(&[SizeQuery {
+            spec: *spec,
+            plan: *plan,
+            variation: *variation,
+            deadline,
+            target_yield,
+            config: *config,
+        }])
+        .pop()
+        .flatten()
     }
 
     /// The exact candidate ladder the greedy search walks for `plan`, in
     /// evaluation order: the library drive strengths from the starting
     /// index (the smallest drive not below the plan's width), then added
     /// repeaters at the largest drive up to the length-derived count cap.
-    /// Shared by [`LineEvaluator::size_loop`] and
-    /// [`LineEvaluator::size_for_yield_batch`] so the two cannot diverge.
+    /// Built once per job by [`LineEvaluator::size_for_yield_batch`].
     ///
     /// The ladder **never shrinks** the starting plan: every candidate's
     /// width is `max(plan.wn, drive width)`, so a plan already wider than
@@ -570,56 +509,48 @@ impl LineEvaluator<'_> {
         out
     }
 
-    /// The shared greedy search: upsize through the library drives, then
-    /// add repeaters, until `estimate`'s **lower bound** (second element
-    /// of the returned `(point, lower)` pair) reaches the target yield.
-    fn size_loop(
-        &self,
-        spec: &LineSpec,
-        plan: &BufferingPlan,
-        target_yield: f64,
-        estimate: impl Fn(&Self, &BufferingPlan) -> (f64, f64),
-    ) -> Option<YieldSizing> {
-        assert!(
-            target_yield > 0.0 && target_yield <= 1.0,
-            "target yield must be in (0, 1]"
-        );
-        let _obs_span = pi_obs::span("core.size_for_yield");
-        for (steps, candidate) in self.size_candidates(spec, plan).into_iter().enumerate() {
-            let (y, lower) = estimate(self, &candidate);
-            pi_obs::counter_add("sizing.steps", 1);
-            if lower >= target_yield {
-                pi_obs::counter_add("sizing.candidate_pass", 1);
-                pi_obs::counter_add("sizing.accepted", 1);
-                return Some(YieldSizing {
-                    plan: candidate,
-                    achieved_yield: y,
-                    steps,
-                });
-            }
-            pi_obs::counter_add("sizing.candidate_fail", 1);
-        }
-        pi_obs::counter_add("sizing.exhausted", 1);
-        None
-    }
-
-    /// Yield-driven sizing of many queries in lock step — the batch entry
-    /// point the serve path coalesces concurrent `/v1/size` requests into.
+    /// Yield-driven sizing: starting from each query's plan, greedily
+    /// upsizes the repeaters through the library drive strengths (and then
+    /// adds repeaters) until the timing yield at the deadline reaches the
+    /// target, or the search space is exhausted. This is the classic
+    /// "sizing for yield improvement under process variation" loop:
+    /// nominal-delay slack is bought exactly where the statistical
+    /// distribution needs it, instead of blanket guard-banding.
     ///
-    /// Every round runs **one** [`LineEvaluator::timing_yield_estimate_batch`]
+    /// Each candidate's yield comes from the query's `pi-yield` estimator
+    /// (adaptive early stopping included). A candidate is accepted only
+    /// when the **lower end of its confidence interval**
+    /// (`yield_fraction − half_width`) clears the target, not merely the
+    /// point estimate — a plan whose estimate scrapes the target from
+    /// below the interval's resolution forces one more upsizing step
+    /// instead of shipping on statistical luck. `achieved_yield` still
+    /// reports the point estimate.
+    ///
+    /// When a configuration opts into the control variate
+    /// ([`EstimatorConfig::control_variate`]) the caller has declared the
+    /// analytic surrogate trustworthy, so every candidate is first
+    /// screened through the far cheaper surrogate-IS estimator: a
+    /// candidate whose *screen* lower bound already clears the target is
+    /// accepted without running the configured estimator at all. The
+    /// screen only ever accepts — and only while the surrogate stayed
+    /// trusted (no disagreement fallback) — so a candidate that fails the
+    /// screen still gets the configured estimator's verdict and the
+    /// search can never stop *later* than it would without screening.
+    ///
+    /// Queries advance in lock step — the batch shape the serve path
+    /// coalesces concurrent `/v1/size` requests into, and that
+    /// [`LineEvaluator::size_for_yield_with`] runs with one query. Every
+    /// round runs **one** [`LineEvaluator::timing_yield_estimate_batch`]
     /// sweep carrying each unfinished job's next probe (its current ladder
-    /// candidate, under its screen or main estimator configuration), so
-    /// the expensive inner yield estimates amortize their dispatch across
-    /// jobs exactly like batched `/v1/yield` queries do. Jobs keep
-    /// independent RNG streams, candidate ladders and surrogate screens
-    /// (the screen discipline of [`LineEvaluator::size_for_yield_with`]
-    /// is replicated probe for probe), so each job's answer — and every
-    /// `sizing.*` counter total — is **bit-identical to its solo run**;
-    /// batching only changes how probes are grouped onto the workers.
+    /// candidate, under its screen or main estimator configuration). Jobs
+    /// keep independent RNG streams, candidate ladders and surrogate
+    /// screens, so each job's answer — and every `sizing.*` counter total
+    /// — is the same whichever batch it runs in; batching only changes
+    /// how probes are grouped onto the workers.
     ///
     /// Results are in input order; `None` means that query's ladder was
-    /// exhausted, exactly as in the solo call. The per-round fan-out is
-    /// visible as the `core.size_sweep_jobs` histogram.
+    /// exhausted. The per-round fan-out is visible as the
+    /// `core.size_sweep_jobs` histogram.
     ///
     /// # Panics
     ///
@@ -769,6 +700,15 @@ mod tests {
 
     fn setup() -> (Technology, crate::CalibratedModels) {
         (Technology::new(TechNode::N65), builtin(TechNode::N65))
+    }
+
+    /// Fixed-count naive Monte Carlo: exactly `samples` dies, no early
+    /// stopping — the draw the pre-estimator sizing loop used.
+    fn fixed_naive(samples: usize, seed: u64) -> EstimatorConfig {
+        EstimatorConfig::new(Method::Naive)
+            .with_seed(seed)
+            .with_max_evals(samples)
+            .with_target_half_width(0.0)
     }
 
     fn spec_plan() -> (LineSpec, BufferingPlan) {
@@ -938,7 +878,7 @@ mod tests {
         let y0 = ev.timing_yield(&spec, &start, &v, deadline, 400, 7);
         assert!(y0 < 0.5, "starting yield {y0} should be poor");
         let sized = ev
-            .size_for_yield(&spec, &start, &v, deadline, 0.95, 400, 7)
+            .size_for_yield_with(&spec, &start, &v, deadline, 0.95, &fixed_naive(400, 7))
             .expect("target reachable");
         assert!(sized.achieved_yield >= 0.95);
         assert!(sized.plan.wn > start.wn || sized.plan.count > start.count);
@@ -960,7 +900,7 @@ mod tests {
         // A very loose deadline: already yielding.
         let deadline = Time::ps(1200.0);
         let sized = ev
-            .size_for_yield(&spec, &start, &v, deadline, 0.95, 300, 7)
+            .size_for_yield_with(&spec, &start, &v, deadline, 0.95, &fixed_naive(300, 7))
             .expect("already passing");
         assert_eq!(sized.steps, 0);
         assert_eq!(sized.plan.count, start.count);
@@ -1026,7 +966,7 @@ mod tests {
         let v = VariationModel::nominal();
         let deadline = Time::ps(560.0);
         let mc = ev
-            .size_for_yield(&spec, &start, &v, deadline, 0.95, 800, 7)
+            .size_for_yield_with(&spec, &start, &v, deadline, 0.95, &fixed_naive(800, 7))
             .expect("target reachable");
         let cfg = pi_yield::EstimatorConfig::new(pi_yield::Method::SobolScrambled);
         let fast = ev
@@ -1452,14 +1392,13 @@ mod tests {
             staggered: false,
         };
         // 50 ps for 10 mm is physically unreachable.
-        let sized = ev.size_for_yield(
+        let sized = ev.size_for_yield_with(
             &spec,
             &start,
             &VariationModel::nominal(),
             Time::ps(50.0),
             0.9,
-            100,
-            7,
+            &fixed_naive(100, 7),
         );
         assert!(sized.is_none());
     }

@@ -193,6 +193,27 @@ pub enum ApiResponse {
     },
 }
 
+/// Rejects a request body carrying a member outside the space-separated
+/// `known` field names, naming it — a misspelled optional field
+/// (`"gp_": true`) must not silently fall back to its default. Non-object
+/// bodies pass through to the field decoders, which report the missing
+/// fields.
+fn reject_unknown(v: &Json, known: &str) -> Result<(), String> {
+    let Json::Obj(members) = v else {
+        return Ok(());
+    };
+    match members
+        .iter()
+        .find(|(k, _)| !known.split(' ').any(|f| f == k))
+    {
+        Some((k, _)) => Err(format!(
+            "unknown field `{k}` (expected one of: {})",
+            known.replace(' ', ", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 fn need_f64(v: &Json, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Json::as_f64)
@@ -279,8 +300,9 @@ impl EvalRequest {
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped field.
+    /// Names the first unknown, missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        reject_unknown(v, "tech length_mm count wn_um corner")?;
         Ok(EvalRequest {
             tech: need_str(v, "tech")?,
             length_mm: need_f64(v, "length_mm")?,
@@ -343,8 +365,12 @@ impl YieldRequest {
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped field.
+    /// Names the first unknown, missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        reject_unknown(
+            v,
+            "tech length_mm deadline_ps estimator seed ci_pct cv rho regions corner",
+        )?;
         Ok(YieldRequest {
             tech: need_str(v, "tech")?,
             length_mm: need_f64(v, "length_mm")?,
@@ -414,8 +440,12 @@ impl SizeRequest {
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped field.
+    /// Names the first unknown, missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        reject_unknown(
+            v,
+            "tech length_mm deadline_ps target_yield estimator seed ci_pct gp corner",
+        )?;
         Ok(SizeRequest {
             tech: need_str(v, "tech")?,
             length_mm: need_f64(v, "length_mm")?,
@@ -475,8 +505,9 @@ impl NetYieldRequest {
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped field.
+    /// Names the first unknown, missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        reject_unknown(v, "design tech clock_ghz estimator seed ci_pct")?;
         Ok(NetYieldRequest {
             design: need_str(v, "design")?,
             tech: need_str(v, "tech")?,
@@ -790,6 +821,43 @@ mod tests {
         let plain = ApiResponse::error(400, "bad");
         assert_eq!(plain.retry_after(), None);
         assert!(!plain.to_json().render().contains("retry_after_s"));
+    }
+
+    #[test]
+    fn unknown_fields_name_the_field() {
+        // A misspelled optional field must not silently run the default.
+        let body = r#"{"tech":"65nm","length_mm":5,"deadline_ps":650,"target_yield":0.9,
+            "estimator":"naive","seed":1,"ci_pct":2,"gp_":true}"#;
+        let err = ApiRequest::from_path_body("/v1/size", body)
+            .unwrap_err()
+            .expect("a 400, not a 404");
+        assert!(err.contains("unknown field `gp_`"), "{err}");
+        assert!(
+            err.contains("target_yield"),
+            "lists the accepted fields: {err}"
+        );
+        for (path, body) in [
+            ("/v1/eval", r#"{"tech":"65nm","length_mm":5,"wn":3}"#),
+            (
+                "/v1/yield",
+                r#"{"tech":"65nm","length_mm":5,"deadline_ps":600,"estimator":"naive","seed":1,"ci_pct":2,"region":3}"#,
+            ),
+            (
+                "/v1/net-yield",
+                r#"{"design":"dvopd","tech":"65nm","clock_ghz":2,"estimator":"naive","seed":1,"ci_pct":2,"rho":0.5}"#,
+            ),
+        ] {
+            let err = ApiRequest::from_path_body(path, body).unwrap_err().unwrap();
+            assert!(err.contains("unknown field"), "{path}: {err}");
+        }
+        // Every body the synthetic traffic generator (and so pi-load)
+        // emits still decodes.
+        let traffic = crate::TrafficGen::with_mix(7, "65nm", 30, 30);
+        for i in 0..200 {
+            let req = traffic.request(i);
+            let text = req.to_json().render();
+            assert_eq!(ApiRequest::from_path_body(req.path(), &text).unwrap(), req);
+        }
     }
 
     #[test]

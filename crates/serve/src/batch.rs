@@ -352,19 +352,15 @@ impl Batcher {
     }
 }
 
-/// A lowered, validated yield request: the exact `pi yield` CLI recipe.
-fn lower_yield(ctx: &NodeContext, r: &YieldRequest) -> Result<YieldQuery, String> {
-    let length = parse_length_mm(r.length_mm)?;
-    let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-    let plan = ctx
-        .plan_for(length)
-        .ok_or("empty buffering search space for this length")?;
-    if !(r.deadline_ps.is_finite() && r.deadline_ps > 0.0) {
-        return Err(format!(
-            "deadline_ps must be positive, got {}",
-            r.deadline_ps
-        ));
-    }
+/// Lowers and validates a yield request — the one path both `/v1/yield`
+/// and `pi yield` take from request fields to an estimator query.
+///
+/// # Errors
+///
+/// Names the first field outside its bounds, or an unknown estimator.
+pub fn lower_yield(ctx: &NodeContext, r: &YieldRequest) -> Result<YieldQuery, String> {
+    let (spec, plan) = lower_line(ctx, r.length_mm)?;
+    let deadline = lower_deadline(r.deadline_ps)?;
     let mut variation = VariationModel::nominal();
     if let Some(rho) = r.rho {
         if !(0.0..=1.0).contains(&rho) {
@@ -374,30 +370,26 @@ fn lower_yield(ctx: &NodeContext, r: &YieldRequest) -> Result<YieldQuery, String
         if regions == 0 {
             return Err("regions must be at least 1".to_owned());
         }
-        variation = variation.with_regional(rho, length / regions as f64);
+        variation = variation.with_regional(rho, spec.length / regions as f64);
     }
     Ok(YieldQuery {
         spec,
         plan,
         variation,
-        deadline: Time::ps(r.deadline_ps),
+        deadline,
         config: estimator_config(&r.estimator, r.seed, r.ci_pct, r.cv)?,
     })
 }
 
-/// A lowered, validated size request: the exact `pi size` CLI recipe.
-fn lower_size(ctx: &NodeContext, r: &SizeRequest) -> Result<SizeQuery, String> {
-    let length = parse_length_mm(r.length_mm)?;
-    let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-    let plan = ctx
-        .plan_for(length)
-        .ok_or("empty buffering search space for this length")?;
-    if !(r.deadline_ps.is_finite() && r.deadline_ps > 0.0) {
-        return Err(format!(
-            "deadline_ps must be positive, got {}",
-            r.deadline_ps
-        ));
-    }
+/// Lowers and validates a size request — the one path both `/v1/size`
+/// and `pi size` take from request fields to a sizing query.
+///
+/// # Errors
+///
+/// Names the first field outside its bounds, or an unknown estimator.
+pub fn lower_size(ctx: &NodeContext, r: &SizeRequest) -> Result<SizeQuery, String> {
+    let (spec, plan) = lower_line(ctx, r.length_mm)?;
+    let deadline = lower_deadline(r.deadline_ps)?;
     if !(r.target_yield > 0.0 && r.target_yield <= 1.0) {
         return Err(format!(
             "target_yield must be in (0, 1], got {}",
@@ -408,21 +400,40 @@ fn lower_size(ctx: &NodeContext, r: &SizeRequest) -> Result<SizeQuery, String> {
         spec,
         plan,
         variation: VariationModel::nominal(),
-        deadline: Time::ps(r.deadline_ps),
+        deadline,
         target_yield: r.target_yield,
         config: estimator_config(&r.estimator, r.seed, r.ci_pct, false)?,
     })
 }
 
-fn parse_length_mm(mm: f64) -> Result<Length, String> {
-    if mm.is_finite() && mm > 0.0 && mm <= 100.0 {
-        Ok(Length::mm(mm))
+/// A global single-spacing line of `length_mm` and its cached
+/// delay-optimal plan (the plan `pi yield` and `pi size` start from).
+fn lower_line(ctx: &NodeContext, length_mm: f64) -> Result<(LineSpec, BufferingPlan), String> {
+    if !(length_mm.is_finite() && length_mm > 0.0 && length_mm <= 100.0) {
+        return Err(format!("length_mm must be in (0, 100], got {length_mm}"));
+    }
+    let length = Length::mm(length_mm);
+    let plan = ctx
+        .plan_for(length)
+        .ok_or("empty buffering search space for this length")?;
+    Ok((LineSpec::global(length, DesignStyle::SingleSpacing), plan))
+}
+
+fn lower_deadline(deadline_ps: f64) -> Result<Time, String> {
+    if deadline_ps.is_finite() && deadline_ps > 0.0 {
+        Ok(Time::ps(deadline_ps))
     } else {
-        Err(format!("length_mm must be in (0, 100], got {mm}"))
+        Err(format!("deadline_ps must be positive, got {deadline_ps}"))
     }
 }
 
-fn estimator_config(
+/// The estimator configuration of a request: method by name, seed, and
+/// the CI half-width target given in percent yield.
+///
+/// # Errors
+///
+/// Names an unknown estimator or a CI target that is not positive.
+pub fn estimator_config(
     name: &str,
     seed: u64,
     ci_pct: f64,
@@ -512,12 +523,8 @@ pub fn execute_batch(store: &NodeStore, jobs: Vec<Job>, stats: &ServerStats) {
             contexts.entry(key).or_insert_with(|| Arc::clone(&ctx));
             match &job.request {
                 ApiRequest::Eval(r) => {
-                    let length =
-                        parse_length_mm(r.length_mm).map_err(|e| ApiResponse::error(400, e))?;
-                    let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-                    let mut plan = ctx.plan_for(length).ok_or_else(|| {
-                        ApiResponse::error(400, "empty buffering search space for this length")
-                    })?;
+                    let (spec, mut plan) =
+                        lower_line(&ctx, r.length_mm).map_err(|e| ApiResponse::error(400, e))?;
                     if let Some(count) = r.count {
                         if count == 0 || count > 256 {
                             return Err(ApiResponse::error(400, "count must be in [1, 256]"));

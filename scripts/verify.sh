@@ -141,6 +141,27 @@ if ! grep -q 'yield\.surrogate_disagreement' "$obs_journal"; then
     echo "observability smoke: surrogate journal lacks yield.surrogate_disagreement"
     exit 1
 fi
+# GP sizing at a deadline tight enough that no GP proposal verifies: the
+# journal must validate and record the ladder fallback, whose answer the
+# command still prints.
+rm -f "$obs_journal"
+PI_OBS="jsonl:$obs_journal" target/release/pi size --tech 65nm \
+    --length 8mm --deadline 495ps --gp >/dev/null
+target/release/pi obs-report "$obs_journal" --check
+if ! grep -q 'gp\.fallback' "$obs_journal"; then
+    echo "observability smoke: tight-deadline GP journal lacks gp.fallback"
+    exit 1
+fi
+# Strict inputs: a NaN CI target and a misspelled option are refused
+# (the same validator /v1/* answers 400 with), never silently run.
+for args in "size --tech 65nm --length 5mm --deadline 650ps --ci NaN" \
+    "yield --tech 65nm --length 8mm --deadline 600ps --estimtor naive"; do
+    # shellcheck disable=SC2086 # word-splitting the argument list is intended
+    if target/release/pi $args >/dev/null 2>&1; then
+        echo "strict-input smoke: \`pi $args\` exited 0"
+        exit 1
+    fi
+done
 # Yield-aware synthesis filter: the filtered DVOPD network must come out
 # meeting the analytic target, with the filter counters in the journal.
 rm -f "$obs_journal"

@@ -1,31 +1,23 @@
 //! `pi` — command-line front end for the predictive-interconnect library.
 //!
 //! ```text
-//! pi delay    --tech 65nm --length 5mm [--style ss|sh|dw] [--count N] [--drive D] [--staggered]
-//! pi optimize --tech 65nm --length 5mm --clock 2GHz [--weight 0.5] [--staggered]
-//! pi reach    --tech 65nm --clock 2GHz [--style ss|sh|dw] [--staggered]
-//! pi noc      --design dvopd|vproc --tech 65nm --clock 2.25GHz [--model proposed|original|mesh]
-//!             [--yield-target 0.9 [--rho 0.5] [--cell 2mm]]
-//!             (or --spec <file> with the text format of `pi_cosi::spec_text`)
-//! pi yield    --tech 65nm --length 8mm --deadline 560ps [--samples 2000]
-//!             [--estimator naive|sobol|sobol-scrambled|importance|surrogate-is|analytic]
-//!             [--cv] [--ci 0.5] [--seed 1] [--rho 0.5] [--regions 4]
-//! pi size     --tech 65nm --length 5mm --deadline 560ps [--target 0.9] [--gp]
-//!             [--estimator naive|sobol|sobol-scrambled|importance|surrogate-is|analytic]
-//!             [--seed 1] [--ci 0.5]
-//! pi report   --tech 65nm --length 5mm --clock 2GHz [--bits 128] [--full]
-//! pi serve    [--port 7878] [--batch-window 500] [--queue-depth 1024] [--io poll|threads]
-//! pi load     [--addr 127.0.0.1:7878] [--qps 2000] [--conns 4] [--duration 3] [--size-pct 0]
-//!             [--yield-pct 10] [--seed 1] [--tech 65nm] [--json]
-//! pi obs-top  <host:port> [--interval 2] [--count N] [--raw]
-//! pi scaling
+//! pi <delay|optimize|reach|noc|yield|size|report|serve|load|scaling> [--options]
+//! pi obs-report <journal.jsonl> [--check | --diff <a> <b>]
+//! pi obs-top    <host:port> [--interval 2] [--count N] [--raw]
 //! ```
 //!
+//! `pi <command> --help` lists the options a command accepts (the
+//! [`COMMANDS`] table); any other option is an error. `pi yield` and
+//! `pi size` decode their options into the `/v1/yield` and `/v1/size`
+//! requests of `pi serve` and lower them through the same validator.
 //! Quantities accept unit suffixes: lengths `mm`/`um`, clocks `GHz`/`MHz`,
 //! times `ps`/`ns`.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::Arc;
 
 use predictive_interconnect::cosi::model::{LinkCostModel, OriginalLinkModel, ProposedLinkModel};
 use predictive_interconnect::cosi::report::evaluate;
@@ -33,72 +25,57 @@ use predictive_interconnect::cosi::router::RouterParams;
 use predictive_interconnect::cosi::synthesis::{synthesize, SynthesisConfig, YieldFilter};
 use predictive_interconnect::cosi::{mesh_network, testcases};
 use predictive_interconnect::models::buffering::{BufferingObjective, SearchSpace};
-use predictive_interconnect::models::coefficients::builtin;
-use predictive_interconnect::models::line::{BufferingPlan, LineEvaluator, LineSpec};
+use predictive_interconnect::models::line::{BufferingPlan, LineSpec};
 use predictive_interconnect::models::variation::VariationModel;
+use predictive_interconnect::serve::api::{SizeRequest, YieldRequest};
+use predictive_interconnect::serve::batch::{lower_size, lower_yield};
+use predictive_interconnect::serve::{NodeContext, NodeStore};
+use predictive_interconnect::stats::Method;
 use predictive_interconnect::tech::units::{Freq, Length, Time};
 use predictive_interconnect::tech::{DesignStyle, RepeaterKind, TechNode, Technology};
 
-fn parse_length(s: &str) -> Result<Length, String> {
+/// A unit suffix and the constructor of a quantity in that unit.
+type Unit<T> = (&'static str, fn(f64) -> T);
+
+/// Parses `<number><unit>` against `units` (case-insensitive); a bare
+/// number takes the first unit.
+fn parse_quantity<T>(s: &str, what: &str, units: &[Unit<T>]) -> Result<T, String> {
     let s = s.trim().to_ascii_lowercase();
-    let (value, unit): (Result<f64, _>, fn(f64) -> Length) = if let Some(v) = s.strip_suffix("mm") {
-        (v.parse(), Length::mm)
-    } else if let Some(v) = s.strip_suffix("um") {
-        (v.parse(), Length::um)
-    } else {
-        // Bare numbers are millimeters.
-        (s.parse(), Length::mm)
-    };
-    let value = value.map_err(|_| format!("bad length `{s}` (use e.g. 5mm or 350um)"))?;
-    // `f64::parse` happily accepts "nan", "inf" and negatives — all of
-    // which would poison sizing and synthesis downstream.
-    if !(value.is_finite() && value > 0.0) {
-        return Err(format!("length must be positive and finite, got `{s}`"));
-    }
+    let (number, unit) = units
+        .iter()
+        .find_map(|(suffix, unit)| Some((s.strip_suffix(suffix)?, unit)))
+        .unwrap_or((s.as_str(), &units[0].1));
+    let names: Vec<&str> = units.iter().map(|(suffix, _)| *suffix).collect();
+    let value = number
+        .parse()
+        .map_err(|_| format!("bad {what} `{s}` (units: {})", names.join(", ")))?;
     Ok(unit(value))
 }
 
-fn parse_clock(s: &str) -> Result<Freq, String> {
-    let s = s.trim().to_ascii_lowercase();
-    if let Some(v) = s.strip_suffix("ghz") {
-        v.parse::<f64>()
-            .map(Freq::ghz)
-            .map_err(|e| format!("bad clock `{s}`: {e}"))
-    } else if let Some(v) = s.strip_suffix("mhz") {
-        v.parse::<f64>()
-            .map(Freq::mhz)
-            .map_err(|e| format!("bad clock `{s}`: {e}"))
-    } else {
-        s.parse::<f64>()
-            .map(Freq::ghz)
-            .map_err(|_| format!("bad clock `{s}` (use e.g. 2GHz or 750MHz)"))
+fn parse_length(s: &str) -> Result<Length, String> {
+    let length = parse_quantity(s, "length", &[("mm", Length::mm), ("um", Length::um)])?;
+    // `f64::parse` happily accepts "nan", "inf" and negatives — all of
+    // which would poison sizing and synthesis downstream.
+    if !(length.is_finite() && length.si() > 0.0) {
+        return Err(format!("length must be positive and finite, got `{s}`"));
     }
+    Ok(length)
+}
+
+fn parse_clock(s: &str) -> Result<Freq, String> {
+    parse_quantity(s, "clock", &[("ghz", Freq::ghz), ("mhz", Freq::mhz)])
 }
 
 fn parse_time(s: &str) -> Result<Time, String> {
-    let s = s.trim().to_ascii_lowercase();
-    if let Some(v) = s.strip_suffix("ps") {
-        v.parse::<f64>()
-            .map(Time::ps)
-            .map_err(|e| format!("bad time `{s}`: {e}"))
-    } else if let Some(v) = s.strip_suffix("ns") {
-        v.parse::<f64>()
-            .map(Time::ns)
-            .map_err(|e| format!("bad time `{s}`: {e}"))
-    } else {
-        s.parse::<f64>()
-            .map(Time::ps)
-            .map_err(|_| format!("bad time `{s}` (use e.g. 560ps or 1.2ns)"))
-    }
+    parse_quantity(s, "time", &[("ps", Time::ps), ("ns", Time::ns)])
 }
 
 /// Parses the optional `--rho` spatial-correlation coefficient; `None`
 /// when absent or zero.
 fn parse_rho(opts: &Opts) -> Result<Option<f64>, String> {
-    let Some(raw) = opts.get("rho") else {
+    let Some(rho) = opts.parse_opt::<f64>("rho")? else {
         return Ok(None);
     };
-    let rho: f64 = raw.parse().map_err(|e| format!("bad --rho: {e}"))?;
     if !(0.0..=1.0).contains(&rho) {
         return Err("--rho must be in [0, 1]".to_owned());
     }
@@ -114,6 +91,102 @@ fn parse_style(s: &str) -> Result<DesignStyle, String> {
     }
 }
 
+/// One `pi` command: its root trace span `pi.<command>`, the
+/// space-separated options that take a value and boolean flags it
+/// accepts, and its runner. [`Opts::parse`] rejects any other option,
+/// and `pi <command> --help` prints exactly these lists.
+struct Command {
+    span: &'static str,
+    values: &'static str,
+    flags: &'static str,
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+impl Command {
+    fn name(&self) -> &'static str {
+        &self.span["pi.".len()..]
+    }
+
+    /// The accepted options, as `--help` prints them and unknown-option
+    /// errors quote them.
+    fn usage(&self) -> String {
+        let values = self
+            .values
+            .split_whitespace()
+            .map(|v| format!(" [--{v} <value>]"));
+        let flags = self.flags.split_whitespace().map(|f| format!(" [--{f}]"));
+        format!(
+            "usage: pi {}{}",
+            self.name(),
+            values.chain(flags).collect::<String>()
+        )
+    }
+}
+
+/// Every option-parsed command, in `USAGE` order.
+const COMMANDS: &[Command] = &[
+    Command {
+        span: "pi.delay",
+        values: "tech length style count drive",
+        flags: "staggered",
+        run: cmd_delay,
+    },
+    Command {
+        span: "pi.optimize",
+        values: "tech length clock style weight",
+        flags: "staggered",
+        run: cmd_optimize,
+    },
+    Command {
+        span: "pi.reach",
+        values: "tech clock style",
+        flags: "staggered",
+        run: cmd_reach,
+    },
+    Command {
+        span: "pi.noc",
+        values: "design spec tech clock model yield-target rho cell",
+        flags: "",
+        run: cmd_noc,
+    },
+    Command {
+        span: "pi.yield",
+        values: "tech length deadline samples estimator ci seed rho regions",
+        flags: "cv",
+        run: cmd_yield,
+    },
+    Command {
+        span: "pi.size",
+        values: "tech length deadline target estimator seed ci",
+        flags: "gp",
+        run: cmd_size,
+    },
+    Command {
+        span: "pi.report",
+        values: "tech length clock style bits",
+        flags: "full",
+        run: cmd_report,
+    },
+    Command {
+        span: "pi.serve",
+        values: "port batch-window queue-depth io",
+        flags: "",
+        run: cmd_serve,
+    },
+    Command {
+        span: "pi.load",
+        values: "addr qps concurrency conns duration yield-pct size-pct seed tech",
+        flags: "json",
+        run: cmd_load,
+    },
+    Command {
+        span: "pi.scaling",
+        values: "",
+        flags: "",
+        run: cmd_scaling,
+    },
+];
+
 /// Parsed `--key value` options plus boolean flags.
 struct Opts {
     values: HashMap<String, String>,
@@ -121,21 +194,30 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` against `cmd`'s accepted options: an unknown option,
+    /// a positional argument or a value-less `--key` is an error.
+    fn parse(args: &[String], cmd: &Command) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                values.insert(key.to_owned(), args[i + 1].clone());
-                i += 2;
-            } else {
+            if cmd.flags.split_whitespace().any(|f| f == key) {
                 flags.push(key.to_owned());
-                i += 1;
+            } else if cmd.values.split_whitespace().any(|v| v == key) {
+                let value = args
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{key} needs a value"))?;
+                values.insert(key.to_owned(), value.clone());
+            } else {
+                return Err(format!(
+                    "unknown option `{a}` for `pi {}`\n{}",
+                    cmd.name(),
+                    cmd.usage()
+                ));
             }
         }
         Ok(Opts { values, flags })
@@ -149,33 +231,49 @@ impl Opts {
         self.get(key).ok_or_else(|| format!("missing --{key}"))
     }
 
+    /// The parsed value of `--key`, if given.
+    fn parse_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(key)
+            .map(|v| v.parse().map_err(|e| format!("bad --{key}: {e}")))
+            .transpose()
+    }
+
+    /// The parsed value of `--key`, or `default` when absent.
+    fn parse_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
 
-    fn tech(&self) -> Result<TechNode, String> {
-        self.require("tech")?
-            .parse::<TechNode>()
-            .map_err(|e| e.to_string())
+    /// The typical-corner models of `--tech` — the same context `pi serve`
+    /// answers from.
+    fn context(&self) -> Result<Arc<NodeContext>, String> {
+        NodeStore::default().context_for(self.require("tech")?, None)
     }
 }
 
 fn cmd_delay(opts: &Opts) -> Result<(), String> {
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
+    let ctx = opts.context()?;
+    let (tech, ev) = (&ctx.tech, ctx.evaluator());
+    let node = tech.node();
     let length = parse_length(opts.require("length")?)?;
     let style = parse_style(opts.get("style").unwrap_or("ss"))?;
     let spec = LineSpec::global(length, style);
-    let plan = if let (Some(count), Some(drive)) = (opts.get("count"), opts.get("drive")) {
+    let plan = if let (Some(count), Some(drive)) =
+        (opts.parse_opt("count")?, opts.parse_opt::<f64>("drive")?)
+    {
         BufferingPlan {
             kind: RepeaterKind::Inverter,
-            count: count.parse().map_err(|e| format!("bad --count: {e}"))?,
-            wn: tech.layout().unit_nmos_width
-                * drive
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --drive: {e}"))?,
+            count,
+            wn: tech.layout().unit_nmos_width * drive,
             staggered: opts.flag("staggered"),
         }
     } else {
@@ -204,18 +302,12 @@ fn cmd_delay(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_optimize(opts: &Opts) -> Result<(), String> {
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
+    let ctx = opts.context()?;
+    let (node, ev) = (ctx.tech.node(), ctx.evaluator());
     let length = parse_length(opts.require("length")?)?;
     let clock = parse_clock(opts.require("clock")?)?;
     let style = parse_style(opts.get("style").unwrap_or("ss"))?;
-    let weight: f64 = opts
-        .get("weight")
-        .unwrap_or("0.5")
-        .parse()
-        .map_err(|e| format!("bad --weight: {e}"))?;
+    let weight: f64 = opts.parse_or("weight", 0.5)?;
     let spec = LineSpec::global(length, style);
     let objective = BufferingObjective {
         delay_weight: weight,
@@ -250,10 +342,8 @@ fn cmd_optimize(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_reach(opts: &Opts) -> Result<(), String> {
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
+    let ctx = opts.context()?;
+    let (node, ev) = (ctx.tech.node(), ctx.evaluator());
     let clock = parse_clock(opts.require("clock")?)?;
     let style = parse_style(opts.get("style").unwrap_or("ss"))?;
     let objective = BufferingObjective::balanced(clock);
@@ -274,10 +364,8 @@ fn cmd_reach(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_noc(opts: &Opts) -> Result<(), String> {
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
+    let ctx = opts.context()?;
+    let (tech, ev) = (&ctx.tech, ctx.evaluator());
     let clock = parse_clock(opts.require("clock")?)?;
     let spec = if let Some(path) = opts.get("spec") {
         let text =
@@ -291,10 +379,7 @@ fn cmd_noc(opts: &Opts) -> Result<(), String> {
         }
     };
     let mut config = SynthesisConfig::at_clock(clock);
-    if let Some(raw) = opts.get("yield-target") {
-        let target: f64 = raw
-            .parse()
-            .map_err(|e| format!("bad --yield-target: {e}"))?;
+    if let Some(target) = opts.parse_opt::<f64>("yield-target")? {
         if !(0.0..=1.0).contains(&target) || target == 0.0 {
             return Err("--yield-target must be in (0, 1]".to_owned());
         }
@@ -309,13 +394,13 @@ fn cmd_noc(opts: &Opts) -> Result<(), String> {
         }
         config = config.with_yield_filter(YieldFilter::new(target, variation));
     }
-    let routers = RouterParams::for_tech(&tech);
+    let routers = RouterParams::for_tech(tech);
     let which = opts.get("model").unwrap_or("proposed").to_ascii_lowercase();
     let proposed = ProposedLinkModel::new(&ev, DesignStyle::SingleSpacing, clock, 0.25);
     let network = match which.as_str() {
         "proposed" => synthesize(&spec, &proposed, &config),
         "original" => {
-            let original = OriginalLinkModel::new(&tech, clock, 0.25);
+            let original = OriginalLinkModel::new(tech, clock, 0.25);
             synthesize(&spec, &original, &config)
         }
         "mesh" => mesh_network(&spec, &proposed as &dyn LinkCostModel, &config),
@@ -330,69 +415,54 @@ fn cmd_noc(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// `pi yield` decodes its flags into the `/v1/yield` request and lowers
+/// it through the service's validator, so both accept the same inputs and
+/// the estimator path answers exactly what the service answers.
 fn cmd_yield(opts: &Opts) -> Result<(), String> {
-    use predictive_interconnect::stats::{EstimatorConfig, Method};
-
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
-    let length = parse_length(opts.require("length")?)?;
-    let deadline = parse_time(opts.require("deadline")?)?;
-    let samples: usize = opts
-        .get("samples")
-        .unwrap_or("2000")
-        .parse()
-        .map_err(|e| format!("bad --samples: {e}"))?;
-    let seed: u64 = opts
-        .get("seed")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-    let obj = BufferingObjective::balanced(Freq::ghz(1.0));
-    let plan = ev
-        .optimize_buffering(&spec, &obj, &SearchSpace::for_length(length))
-        .ok_or("empty search space")?
-        .plan;
-    let mut variation = VariationModel::nominal();
-    if let Some(rho) = parse_rho(opts)? {
-        // `--regions N` slices the line into N equal correlation cells.
-        let regions: usize = opts
-            .get("regions")
-            .unwrap_or("4")
-            .parse()
-            .map_err(|e| format!("bad --regions: {e}"))?;
-        if regions == 0 {
-            return Err("--regions must be at least 1".to_owned());
-        }
-        variation = variation.with_regional(rho, length / regions as f64);
+    // `--regions N` slices the line into N equal correlation cells.
+    let regions: u64 = opts.parse_or("regions", 4)?;
+    let request = YieldRequest {
+        tech: opts.require("tech")?.to_owned(),
+        length_mm: parse_length(opts.require("length")?)?.as_mm(),
+        deadline_ps: parse_time(opts.require("deadline")?)?.as_ps(),
+        // The sampled-distribution path runs no estimator; naive stands in
+        // so the request lowers all the same.
+        estimator: opts.get("estimator").unwrap_or("naive").to_owned(),
+        seed: opts.parse_or("seed", 1)?,
+        ci_pct: opts.parse_or("ci", 0.5)?,
+        cv: opts.flag("cv"),
+        rho: opts.parse_opt("rho")?,
+        regions: Some(regions),
+        corner: None,
+    };
+    let samples: usize = opts.parse_or("samples", 2000)?;
+    if samples == 0 {
+        return Err("--samples must be at least 1".to_owned());
+    }
+    let ctx = opts.context()?;
+    let query = lower_yield(&ctx, &request)?;
+    let ev = ctx.evaluator();
+    let node = ctx.tech.node();
+    let (length_mm, plan, variation) = (request.length_mm, query.plan, query.variation);
+    if variation.rho_region > 0.0 {
         println!(
-            "spatial correlation: rho {rho}, {regions} regions of {:.2} mm",
-            (length / regions as f64).as_mm()
+            "spatial correlation: rho {}, {} regions of {:.2} mm",
+            variation.rho_region,
+            regions,
+            variation.region_cell.as_mm()
         );
     }
 
-    if let Some(name) = opts.get("estimator") {
+    if opts.get("estimator").is_some() {
         // Variance-reduced estimator with a confidence interval. The CI
         // target is given in percent yield (default ±0.5% at 95%).
-        let method: Method = name.parse()?;
-        let ci_pct: f64 = opts
-            .get("ci")
-            .unwrap_or("0.5")
-            .parse()
-            .map_err(|e| format!("bad --ci: {e}"))?;
-        if ci_pct <= 0.0 {
-            return Err("--ci must be a positive half-width in percent".to_owned());
-        }
-        let config = EstimatorConfig::new(method)
-            .with_seed(seed)
-            .with_target_half_width(ci_pct / 100.0)
-            .with_control_variate(opts.flag("cv"));
-        let est = ev.timing_yield_estimate(&spec, &plan, &variation, deadline, &config);
+        let config = query.config;
+        let est = ev
+            .timing_yield_estimate_batch(&[query])
+            .pop()
+            .expect("one query, one estimate");
         println!(
-            "{node} {} mm, {} x inverter wn {:.1} um, estimator {}{}",
-            length.as_mm(),
+            "{node} {length_mm} mm, {} x inverter wn {:.1} um, estimator {}{}",
             plan.count,
             plan.wn.as_um(),
             est.method,
@@ -400,16 +470,16 @@ fn cmd_yield(opts: &Opts) -> Result<(), String> {
         );
         println!(
             "timing yield @ {:.0} ps: {:.2}% (±{:.2}% at 95%, {} line evaluations)",
-            deadline.as_ps(),
+            request.deadline_ps,
             est.yield_fraction * 100.0,
             est.half_width * 100.0,
             est.evals
         );
-        if method == Method::SurrogateIs || config.control_variate {
+        if config.method == Method::SurrogateIs || config.control_variate {
             println!(
                 "surrogate disagreement: {:.3}% of dies{}",
                 est.surrogate_disagreement * 100.0,
-                if est.method != method {
+                if est.method != config.method {
                     " (above threshold -- fell back to the plain estimator)"
                 } else {
                     ""
@@ -419,10 +489,9 @@ fn cmd_yield(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
 
-    let dist = ev.delay_distribution(&spec, &plan, &variation, samples, seed);
+    let dist = ev.delay_distribution(&query.spec, &plan, &variation, samples, request.seed);
     println!(
-        "{node} {} mm, {} x inverter wn {:.1} um, {samples} samples",
-        length.as_mm(),
+        "{node} {length_mm} mm, {} x inverter wn {:.1} um, {samples} samples",
         plan.count,
         plan.wn.as_um()
     );
@@ -434,67 +503,50 @@ fn cmd_yield(opts: &Opts) -> Result<(), String> {
     );
     println!(
         "timing yield @ {:.0} ps: {:.1}%",
-        deadline.as_ps(),
-        dist.yield_at(deadline) * 100.0
+        request.deadline_ps,
+        dist.yield_at(query.deadline) * 100.0
     );
     Ok(())
 }
 
+/// `pi size` decodes its flags into the `/v1/size` request, lowers it
+/// through the service's validator and runs the batch engine `/v1/size`
+/// runs, on a batch of one.
 fn cmd_size(opts: &Opts) -> Result<(), String> {
-    use predictive_interconnect::stats::{EstimatorConfig, Method};
-
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
-    let length = parse_length(opts.require("length")?)?;
-    let deadline = parse_time(opts.require("deadline")?)?;
-    let target: f64 = opts
-        .get("target")
-        .unwrap_or("0.9")
-        .parse()
-        .map_err(|e| format!("bad --target: {e}"))?;
-    if !(target > 0.0 && target <= 1.0) {
-        return Err("--target must be a yield in (0, 1]".to_owned());
-    }
-    let method: Method = opts.get("estimator").unwrap_or("sobol-scrambled").parse()?;
-    let seed: u64 = opts
-        .get("seed")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let ci_pct: f64 = opts
-        .get("ci")
-        .unwrap_or("0.5")
-        .parse()
-        .map_err(|e| format!("bad --ci: {e}"))?;
-    if ci_pct <= 0.0 {
-        return Err("--ci must be a positive half-width in percent".to_owned());
-    }
-    let config = EstimatorConfig::new(method)
-        .with_seed(seed)
-        .with_target_half_width(ci_pct / 100.0);
-    let spec = LineSpec::global(length, DesignStyle::SingleSpacing);
-    let obj = BufferingObjective::balanced(Freq::ghz(1.0));
-    let start = ev
-        .optimize_buffering(&spec, &obj, &SearchSpace::for_length(length))
-        .ok_or("empty search space")?
-        .plan;
-    let variation = VariationModel::nominal();
-    let engine = if opts.flag("gp") { "gp" } else { "ladder" };
-    let sized = if opts.flag("gp") {
-        ev.size_for_yield_gp(&spec, &start, &variation, deadline, target, &config)
+    let request = SizeRequest {
+        tech: opts.require("tech")?.to_owned(),
+        length_mm: parse_length(opts.require("length")?)?.as_mm(),
+        deadline_ps: parse_time(opts.require("deadline")?)?.as_ps(),
+        target_yield: opts.parse_or("target", 0.9)?,
+        estimator: opts
+            .get("estimator")
+            .unwrap_or("sobol-scrambled")
+            .to_owned(),
+        seed: opts.parse_or("seed", 1)?,
+        ci_pct: opts.parse_or("ci", 0.5)?,
+        gp: opts.flag("gp"),
+        corner: None,
+    };
+    let ctx = opts.context()?;
+    let query = lower_size(&ctx, &request)?;
+    let ev = ctx.evaluator();
+    let (engine, mut sized) = if request.gp {
+        ("gp", ev.size_for_yield_gp_batch(&[query]))
     } else {
-        ev.size_for_yield_with(&spec, &start, &variation, deadline, target, &config)
-    }
-    .ok_or("no plan in the search range reaches the target yield")?;
-    let timing = ev.timing(&spec, &sized.plan);
-    let power = ev.power(&spec, &sized.plan, 0.25, Freq::ghz(1.0));
+        ("ladder", ev.size_for_yield_batch(&[query]))
+    };
+    let sized = sized
+        .pop()
+        .flatten()
+        .ok_or("no plan in the search range reaches the target yield")?;
+    let timing = ev.timing(&query.spec, &sized.plan);
+    let power = ev.power(&query.spec, &sized.plan, 0.25, Freq::ghz(1.0));
     println!(
-        "{node} {} mm, engine {engine}, start {} x wn {:.1} um",
-        length.as_mm(),
-        start.count,
-        start.wn.as_um()
+        "{} {} mm, engine {engine}, start {} x wn {:.1} um",
+        ctx.tech.node(),
+        request.length_mm,
+        query.plan.count,
+        query.plan.wn.as_um()
     );
     println!(
         "sized plan: {} x inverter wn {:.2} um ({} steps)",
@@ -504,9 +556,9 @@ fn cmd_size(opts: &Opts) -> Result<(), String> {
     );
     println!(
         "yield @ {:.0} ps: {:.2}% (target {:.2}%), nominal delay {:.0} ps, power {:.1} uW/bit",
-        deadline.as_ps(),
+        request.deadline_ps,
         sized.achieved_yield * 100.0,
-        target * 100.0,
+        request.target_yield * 100.0,
         timing.delay.as_ps(),
         power.total().as_uw()
     );
@@ -515,10 +567,8 @@ fn cmd_size(opts: &Opts) -> Result<(), String> {
 
 fn cmd_report(opts: &Opts) -> Result<(), String> {
     use predictive_interconnect::report::{link_datasheet, DatasheetOptions};
-    let node = opts.tech()?;
-    let tech = Technology::new(node);
-    let models = builtin(node);
-    let ev = LineEvaluator::new(&models, &tech);
+    let ctx = opts.context()?;
+    let (node, ev) = (ctx.tech.node(), ctx.evaluator());
     let length = parse_length(opts.require("length")?)?;
     let clock = parse_clock(opts.require("clock")?)?;
     let style = parse_style(opts.get("style").unwrap_or("ss"))?;
@@ -537,9 +587,7 @@ fn cmd_report(opts: &Opts) -> Result<(), String> {
     } else {
         DatasheetOptions::at_clock(clock)
     };
-    if let Some(bits) = opts.get("bits") {
-        options.n_bits = bits.parse().map_err(|e| format!("bad --bits: {e}"))?;
-    }
+    options.n_bits = opts.parse_or("bits", options.n_bits)?;
     let sheet = link_datasheet(node, &spec, &plan, &options).map_err(|e| e.to_string())?;
     print!("{sheet}");
     Ok(())
@@ -552,11 +600,17 @@ fn cmd_report(opts: &Opts) -> Result<(), String> {
 /// `--diff <a> <b>`, prints per-span self-time and counter deltas between
 /// two journals instead (e.g. before/after a perf change).
 fn cmd_obs_report(args: &[String]) -> Result<(), String> {
+    const OBS_REPORT_USAGE: &str =
+        "usage: pi obs-report <journal.jsonl> [--check] | pi obs-report --diff <a.jsonl> <b.jsonl>";
     let mut paths: Vec<&str> = Vec::new();
     let mut check = false;
     let mut diff = false;
     for a in args {
         match a.as_str() {
+            "--help" | "-h" => {
+                println!("{OBS_REPORT_USAGE}");
+                return Ok(());
+            }
             "--check" => check = true,
             "--diff" => diff = true,
             other if !other.starts_with("--") => paths.push(other),
@@ -565,7 +619,7 @@ fn cmd_obs_report(args: &[String]) -> Result<(), String> {
     }
     if diff {
         let [a, b] = paths[..] else {
-            return Err("usage: pi obs-report --diff <a.jsonl> <b.jsonl>".to_owned());
+            return Err(OBS_REPORT_USAGE.to_owned());
         };
         let ta = std::fs::read_to_string(a).map_err(|e| format!("cannot read `{a}`: {e}"))?;
         let tb = std::fs::read_to_string(b).map_err(|e| format!("cannot read `{b}`: {e}"))?;
@@ -573,7 +627,7 @@ fn cmd_obs_report(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let [path] = paths[..] else {
-        return Err("usage: pi obs-report <journal.jsonl> [--check]".to_owned());
+        return Err(OBS_REPORT_USAGE.to_owned());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     if check {
@@ -695,6 +749,7 @@ fn render_top(addr: &str, tick: u64, samples: &[Sample]) -> String {
 /// verbatim — `pi obs-top <addr> --count 1 --raw` is a zero-dependency
 /// stand-in for `curl <addr>/metrics`.
 fn cmd_obs_top(args: &[String]) -> Result<(), String> {
+    const OBS_TOP_USAGE: &str = "usage: pi obs-top <host:port> [--interval S] [--count N] [--raw]";
     use predictive_interconnect::serve::{install_shutdown_signals, signalled, Client};
     let mut addr: Option<&str> = None;
     let mut interval_s = 2.0f64;
@@ -703,6 +758,10 @@ fn cmd_obs_top(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "--help" | "-h" => {
+                println!("{OBS_TOP_USAGE}");
+                return Ok(());
+            }
             "--raw" => raw = true,
             "--interval" => {
                 i += 1;
@@ -719,7 +778,7 @@ fn cmd_obs_top(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    let addr = addr.ok_or("usage: pi obs-top <host:port> [--interval S] [--count N] [--raw]")?;
+    let addr = addr.ok_or(OBS_TOP_USAGE)?;
     if !(interval_s.is_finite() && interval_s > 0.0) {
         return Err(format!("--interval must be positive, got {interval_s}"));
     }
@@ -763,17 +822,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         install_shutdown_signals, signalled, IoMode, ServeConfig, Server,
     };
     let mut config = ServeConfig::from_env();
-    if let Some(v) = opts.get("port") {
-        config.port = v.parse().map_err(|e| format!("bad --port: {e}"))?;
-    }
-    if let Some(v) = opts.get("batch-window") {
-        config.batch_window_us = v
-            .parse()
-            .map_err(|e| format!("bad --batch-window (microseconds): {e}"))?;
-    }
-    if let Some(v) = opts.get("queue-depth") {
-        config.queue_depth = v.parse().map_err(|e| format!("bad --queue-depth: {e}"))?;
-    }
+    config.port = opts.parse_or("port", config.port)?;
+    config.batch_window_us = opts.parse_or("batch-window", config.batch_window_us)?;
+    config.queue_depth = opts.parse_or("queue-depth", config.queue_depth)?;
     if let Some(v) = opts.get("io") {
         config.io = match v.to_ascii_lowercase().as_str() {
             "poll" => IoMode::Poll,
@@ -812,29 +863,13 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
     if let Some(v) = opts.get("addr") {
         config.addr = v.to_owned();
     }
-    if let Some(v) = opts.get("qps") {
-        config.qps = v.parse().map_err(|e| format!("bad --qps: {e}"))?;
-    }
-    if let Some(v) = opts.get("concurrency") {
-        config.concurrency = v.parse().map_err(|e| format!("bad --concurrency: {e}"))?;
-    }
-    if let Some(v) = opts.get("conns") {
-        config.conns = v.parse().map_err(|e| format!("bad --conns: {e}"))?;
-    }
-    if let Some(v) = opts.get("duration") {
-        config.duration_s = v
-            .parse()
-            .map_err(|e| format!("bad --duration (seconds): {e}"))?;
-    }
-    if let Some(v) = opts.get("yield-pct") {
-        config.yield_pct = v.parse().map_err(|e| format!("bad --yield-pct: {e}"))?;
-    }
-    if let Some(v) = opts.get("size-pct") {
-        config.size_pct = v.parse().map_err(|e| format!("bad --size-pct: {e}"))?;
-    }
-    if let Some(v) = opts.get("seed") {
-        config.seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-    }
+    config.qps = opts.parse_or("qps", config.qps)?;
+    config.concurrency = opts.parse_or("concurrency", config.concurrency)?;
+    config.conns = opts.parse_or("conns", config.conns)?;
+    config.duration_s = opts.parse_or("duration", config.duration_s)?;
+    config.yield_pct = opts.parse_or("yield-pct", config.yield_pct)?;
+    config.size_pct = opts.parse_or("size-pct", config.size_pct)?;
+    config.seed = opts.parse_or("seed", config.seed)?;
     if let Some(v) = opts.get("tech") {
         config.tech = v.to_owned();
     }
@@ -853,7 +888,7 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_scaling() -> Result<(), String> {
+fn cmd_scaling(_: &Opts) -> Result<(), String> {
     use predictive_interconnect::wire::WireRc;
     println!("node   Vdd [V]  R [ohm/mm]  C [fF/mm]");
     for node in TechNode::ALL {
@@ -872,27 +907,8 @@ fn cmd_scaling() -> Result<(), String> {
 
 const USAGE: &str =
     "usage: pi <delay|optimize|reach|noc|yield|size|report|serve|load|obs-report|obs-top|scaling> [--options]
-run `pi <command>` with missing options to see what it needs;
-see the crate README for the full option list.
+run `pi <command> --help` to list the options a command accepts.
 set PI_OBS=summary or PI_OBS=jsonl[:path] to trace any command (docs/OBSERVABILITY.md)";
-
-/// Root span name for the command, so a `PI_OBS=jsonl` journal has a
-/// single main-thread root covering the whole run.
-fn root_span_name(cmd: &str) -> &'static str {
-    match cmd {
-        "delay" => "pi.delay",
-        "optimize" => "pi.optimize",
-        "reach" => "pi.reach",
-        "noc" => "pi.noc",
-        "yield" => "pi.yield",
-        "size" => "pi.size",
-        "report" => "pi.report",
-        "serve" => "pi.serve",
-        "load" => "pi.load",
-        "scaling" => "pi.scaling",
-        _ => "pi.main",
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -908,21 +924,19 @@ fn main() -> ExitCode {
         // tracing it would only add noise to the journal.
         cmd_obs_top(rest)
     } else {
+        let command = COMMANDS.iter().find(|c| c.name() == cmd);
         let run = {
-            let _root = predictive_interconnect::obs::span(root_span_name(cmd));
-            Opts::parse(rest).and_then(|opts| match cmd.as_str() {
-                "delay" => cmd_delay(&opts),
-                "optimize" => cmd_optimize(&opts),
-                "reach" => cmd_reach(&opts),
-                "noc" => cmd_noc(&opts),
-                "yield" => cmd_yield(&opts),
-                "size" => cmd_size(&opts),
-                "report" => cmd_report(&opts),
-                "serve" => cmd_serve(&opts),
-                "load" => cmd_load(&opts),
-                "scaling" => cmd_scaling(),
-                other => Err(format!("unknown command `{other}`\n{USAGE}")),
-            })
+            // One main-thread root span covering the whole run, so a
+            // `PI_OBS=jsonl` journal has a single root.
+            let _root = predictive_interconnect::obs::span(command.map_or("pi.main", |c| c.span));
+            match command {
+                None => Err(format!("unknown command `{cmd}`\n{USAGE}")),
+                Some(c) if rest.iter().any(|a| a == "--help" || a == "-h") => {
+                    println!("{}", c.usage());
+                    Ok(())
+                }
+                Some(c) => Opts::parse(rest, c).and_then(|opts| (c.run)(&opts)),
+            }
         };
         predictive_interconnect::obs::finish();
         run
@@ -979,17 +993,38 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let o = Opts::parse(&args).unwrap();
+        let o = Opts::parse(&args, command("delay")).unwrap();
         assert_eq!(o.get("tech"), Some("65nm"));
         assert_eq!(o.get("length"), Some("5mm"));
         assert!(o.flag("staggered"));
         assert!(o.require("missing").is_err());
+        assert_eq!(o.parse_or("count", 3usize), Ok(3));
+        // Options outside the command's list, and values missing their
+        // argument, are errors naming the option.
+        for bad in [
+            &["--lenght", "5mm"][..],
+            &["--length"],
+            &["--length", "--tech"],
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| (*s).to_owned()).collect();
+            let err = Opts::parse(&args, command("delay"))
+                .err()
+                .expect("rejected");
+            assert!(err.contains(bad[0]), "{err}");
+        }
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.name() == name)
+            .expect("known command")
     }
 
     #[test]
     fn opts_rejects_positional_arguments() {
         let args: Vec<String> = vec!["positional".to_owned()];
-        assert!(Opts::parse(&args).is_err());
+        assert!(Opts::parse(&args, command("delay")).is_err());
     }
 
     #[test]
